@@ -11,6 +11,9 @@
 //     run() (block-batched), step() (predecoded per-step), and
 //     stepReference() (the original IR-dispatch interpreter the fast paths
 //     are differentially tested against);
+//   * profile-MIPS: instructions per second of profile::collectProfile
+//     (edge, misprediction and loop profiles over the block-granular
+//     emulator entry point), the first-run stage of every cell;
 //   * sim-MIPS: retired instructions per second of the cycle-level DmpCore
 //     in the baseline (Table 1) configuration;
 //   * the 17-cell campaign digest (the same campaign BENCH_serve.json
@@ -27,8 +30,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchJson.h"
+#include "cfg/Analysis.h"
 #include "harness/CellRun.h"
 #include "profile/Emulator.h"
+#include "profile/Profiler.h"
 #include "serialize/Hash.h"
 #include "serialize/ProfileIO.h"
 #include "sim/DmpCore.h"
@@ -114,17 +119,20 @@ struct WorkloadResult {
   double EmuRun = 0.0;
   double EmuStep = 0.0;
   double EmuRef = 0.0;
+  double Profile = 0.0;
   double Sim = 0.0;
   double SimIpc = 0.0;
   // Instructions actually executed per leg (a workload may halt before the
   // budget), for the aggregate instrs/sec computation.
   uint64_t EmuInstrs = 0;
   uint64_t RefInstrs = 0;
+  uint64_t ProfileInstrs = 0;
   uint64_t SimInstrs = 0;
   // Best (smallest) wall times, seconds.
   double EmuRunSec = 0.0;
   double EmuStepSec = 0.0;
   double EmuRefSec = 0.0;
+  double ProfileSec = 0.0;
   double SimSec = 0.0;
 };
 
@@ -157,8 +165,10 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   R.Name = W.Name;
   const std::vector<int64_t> Image =
       W.buildImage(workloads::InputSetKind::Run);
+  const cfg::ProgramAnalysis PA(*W.Prog);
 
-  double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestSim = 1e30;
+  double BestRun = 1e30, BestStep = 1e30, BestRef = 1e30, BestProfile = 1e30,
+         BestSim = 1e30;
   for (unsigned Rep = 0; Rep < Opts.Reps; ++Rep) {
     // Leg 1: block-batched run().
     {
@@ -199,7 +209,19 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
       R.RefInstrs = Emu.executedCount();
       BestRef = std::min(BestRef, Sec);
     }
-    // Leg 4: the cycle simulator, baseline configuration.
+    // Leg 4: profile collection over the emu-leg budget (default options:
+    // the gshare profiling predictor).
+    {
+      profile::ProfileOptions ProfOpts;
+      ProfOpts.MaxInstrs = Opts.EmuInstrs;
+      const auto T0 = Clock::now();
+      const profile::ProfileData Prof =
+          profile::collectProfile(*W.Prog, PA, Image, ProfOpts);
+      const double Sec = secondsSince(T0);
+      R.ProfileInstrs = Prof.DynamicInstrs;
+      BestProfile = std::min(BestProfile, Sec);
+    }
+    // Leg 5: the cycle simulator, baseline configuration.
     {
       sim::SimConfig Cfg;
       Cfg.MaxInstrs = Opts.SimInstrs;
@@ -215,10 +237,12 @@ WorkloadResult measureWorkload(const workloads::Workload &W,
   R.EmuRunSec = BestRun;
   R.EmuStepSec = BestStep;
   R.EmuRefSec = BestRef;
+  R.ProfileSec = BestProfile;
   R.SimSec = BestSim;
   R.EmuRun = mips(R.EmuInstrs, BestRun);
   R.EmuStep = mips(R.EmuInstrs, BestStep);
   R.EmuRef = mips(R.RefInstrs, BestRef);
+  R.Profile = mips(R.ProfileInstrs, BestProfile);
   R.Sim = mips(R.SimInstrs, BestSim);
   return R;
 }
@@ -278,25 +302,29 @@ struct Aggregate {
   double EmuRun = 0.0;
   double EmuStep = 0.0;
   double EmuRef = 0.0;
+  double Profile = 0.0;
   double Sim = 0.0;
 };
 
 Aggregate aggregate(const std::vector<WorkloadResult> &Results) {
-  uint64_t EmuI = 0, RefI = 0, SimI = 0;
-  double RunS = 0, StepS = 0, RefS = 0, SimS = 0;
+  uint64_t EmuI = 0, RefI = 0, ProfI = 0, SimI = 0;
+  double RunS = 0, StepS = 0, RefS = 0, ProfS = 0, SimS = 0;
   for (const WorkloadResult &R : Results) {
     EmuI += R.EmuInstrs;
     RefI += R.RefInstrs;
+    ProfI += R.ProfileInstrs;
     SimI += R.SimInstrs;
     RunS += R.EmuRunSec;
     StepS += R.EmuStepSec;
     RefS += R.EmuRefSec;
+    ProfS += R.ProfileSec;
     SimS += R.SimSec;
   }
   Aggregate A;
   A.EmuRun = mips(EmuI, RunS);
   A.EmuStep = mips(EmuI, StepS);
   A.EmuRef = mips(RefI, RefS);
+  A.Profile = mips(ProfI, ProfS);
   A.Sim = mips(SimI, SimS);
   return A;
 }
@@ -316,6 +344,7 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
   J.number("emu_run_mips", A.EmuRun, 1);
   J.number("emu_step_mips", A.EmuStep, 1);
   J.number("emu_ref_mips", A.EmuRef, 1);
+  J.number("profile_mips", A.Profile, 1);
   J.number("sim_mips", A.Sim, 1);
   J.number("emu_speedup_vs_ref", A.EmuRef > 0 ? A.EmuRun / A.EmuRef : 0.0,
            2);
@@ -327,6 +356,7 @@ void writeSnapshot(const Options &Opts, const Aggregate &A,
     J.number("emu_run_mips", R.EmuRun, 1);
     J.number("emu_step_mips", R.EmuStep, 1);
     J.number("emu_ref_mips", R.EmuRef, 1);
+    J.number("profile_mips", R.Profile, 1);
     J.number("sim_mips", R.Sim, 1);
     J.number("sim_ipc", R.SimIpc, 3);
     J.endElement();
@@ -381,6 +411,7 @@ int checkAgainst(const std::string &Path, const Aggregate &A,
       {"emu_run_mips", A.EmuRun},
       {"emu_step_mips", A.EmuStep},
       {"emu_ref_mips", A.EmuRef},
+      {"profile_mips", A.Profile},
       {"sim_mips", A.Sim},
   };
   int Rc = exitcode::Ok;
@@ -425,9 +456,10 @@ int main(int Argc, char **Argv) {
   for (const workloads::Workload &W : Suite) {
     Results.push_back(measureWorkload(W, Opts));
     const WorkloadResult &R = Results.back();
-    std::printf("  %-8s emu run %7.1f  step %7.1f  ref %7.1f  sim %6.1f "
-                "MIPS\n",
-                R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Sim);
+    std::printf("  %-8s emu run %7.1f  step %7.1f  ref %7.1f  profile %6.1f  "
+                "sim %6.1f MIPS\n",
+                R.Name.c_str(), R.EmuRun, R.EmuStep, R.EmuRef, R.Profile,
+                R.Sim);
   }
 
   const Aggregate A = aggregate(Results);

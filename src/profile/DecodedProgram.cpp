@@ -9,6 +9,8 @@
 #include "ir/BasicBlock.h"
 #include "ir/Function.h"
 
+#include <algorithm>
+
 using namespace dmp;
 using namespace dmp::ir;
 using namespace dmp::profile;
@@ -36,20 +38,32 @@ DecodedProgram::DecodedProgram(const Program &P) {
   // transfer control extends the run starting right after it.  Every valid
   // program ends each function in a terminator, so a run never falls off
   // the end of the address space.
-  for (uint32_t A = N; A-- > 0;)
-    if (!isControlFlow(Instrs[A].Op))
-      Instrs[A].RunLen = (A + 1 < N ? Instrs[A + 1].RunLen : 0) + 1;
+  // Segment lengths clip the same runs at block boundaries: a fall-through
+  // into the next block ends the segment before the new block's first
+  // instruction, even when that instruction is the run's terminator.
+  SegLens.assign(N, 1);
+  for (uint32_t A = N; A-- > 0;) {
+    if (isControlFlow(Instrs[A].Op))
+      continue;
+    const bool Next = A + 1 < N;
+    Instrs[A].RunLen = (Next ? Instrs[A + 1].RunLen : 0) + 1;
+    if (Next && P.blockAt(A + 1) == P.blockAt(A))
+      SegLens[A] += SegLens[A + 1];
+  }
   // Superop fusion for the batched dispatch loop: at every address, pick
-  // the longest fused group that fits inside the straight-line run
-  // (greedy, overlapping — each address describes execution starting
-  // there, so branching into the middle of someone else's group is fine).
+  // the longest fused group that fits inside the straight-line run and its
+  // basic block (greedy, overlapping — each address describes execution
+  // starting there, so branching into the middle of someone else's group
+  // is fine).  Keeping groups inside the block lets runSegment() cut at
+  // block starts without splitting a group.
   for (uint32_t A = 0; A < N; ++A) {
     DecodedInstr &D = Instrs[A];
+    const uint32_t Len = std::min(D.RunLen, SegLens[A]);
     const Opcode Op1 = D.Op;
-    const Opcode Op2 = D.RunLen >= 2 ? Instrs[A + 1].Op : Opcode::Halt;
-    const bool Triple = D.RunLen >= 3 && Op1 == Opcode::AddI &&
+    const Opcode Op2 = Len >= 2 ? Instrs[A + 1].Op : Opcode::Halt;
+    const bool Triple = Len >= 3 && Op1 == Opcode::AddI &&
                         Op2 == Opcode::Xor && Instrs[A + 2].Op == Opcode::Add;
-    if (Triple && D.RunLen >= 6 && Instrs[A + 3].Op == Opcode::AddI &&
+    if (Triple && Len >= 6 && Instrs[A + 3].Op == Opcode::AddI &&
         Instrs[A + 4].Op == Opcode::Xor && Instrs[A + 5].Op == Opcode::Add)
       D.FuseOp = fuse::AddIXorAdd2;
     else if (Triple)

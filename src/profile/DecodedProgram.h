@@ -14,7 +14,9 @@
 /// Decoding is pure caching: it must never change architectural semantics.
 /// The digest-identity contract (DESIGN.md) is enforced by the differential
 /// tests in tests/test_throughput_diff.cpp, which compare this fast path
-/// against Emulator::stepReference() instruction by instruction.
+/// against Emulator::stepReference() instruction by instruction, and in
+/// tests/test_profile_diff.cpp, which compare the segment-driven profilers
+/// against per-instruction reference profilers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,7 +125,8 @@ struct DecodedInstr {
   ir::Reg Src2 = 0;
   /// Dispatch op for run(): the base opcode, or a fuse:: superop covering
   /// this and the following record(s).  A group never extends past the
-  /// containing straight-line run (group size <= RunLen).
+  /// containing straight-line run (group size <= RunLen) nor past the
+  /// containing basic block.
   uint8_t FuseOp = static_cast<uint8_t>(ir::Opcode::Nop);
 };
 
@@ -142,10 +145,20 @@ public:
     return Instrs[Addr];
   }
 
+  /// Per address: how many instructions a segment starting there retires
+  /// (Emulator::runSegment(), the profilers' block-granular entry point).
+  /// A segment is the straight-line run (RunLen) clipped at the next
+  /// basic-block start, plus the control-flow instruction ending the run
+  /// when that instruction is still in the same block — so it never
+  /// retires a block's first instruction except as its own first one.
+  /// segLens()[A] > RunLen exactly when the segment ends in control flow.
+  const uint32_t *segLens() const { return SegLens.data(); }
+
 private:
   explicit DecodedProgram(const ir::Program &P);
 
   std::vector<DecodedInstr> Instrs;
+  std::vector<uint32_t> SegLens;
 };
 
 } // namespace dmp::profile

@@ -129,7 +129,8 @@ void execScalarRun(const DecodedInstr *D, const DecodedInstr *const End,
 } // namespace
 
 Emulator::Emulator(const Program &P, const std::vector<int64_t> &MemoryImage)
-    : P(P), Code(DecodedProgram::of(P).data()), Memory(MemoryImage) {
+    : P(P), Code(DecodedProgram::of(P).data()),
+      SegLens(DecodedProgram::of(P).segLens()), Memory(MemoryImage) {
   assert(P.isFinalized() && "emulating an unfinalized program");
   uint64_t Words = Memory.size() < MinMemoryWords ? MinMemoryWords
                                                   : Memory.size();
@@ -141,7 +142,8 @@ Emulator::Emulator(const Program &P, const std::vector<int64_t> &MemoryImage)
   CallStack.reserve(64);
 }
 
-void Emulator::run(uint64_t MaxInstrs) {
+template <bool OneSegment>
+void Emulator::runBatched(uint64_t MaxInstrs, Segment *Seg) {
   // Hoist the hot state into restrict-qualified locals: the register file
   // and data memory are distinct objects, but both are int64_t arrays, so
   // without restrict every Store forces the compiler to reload registers
@@ -156,6 +158,19 @@ void Emulator::run(uint64_t MaxInstrs) {
   while (!Halted && Done < MaxInstrs) {
     const DecodedInstr *D = CodeL + LPC;
     uint64_t Run = D->RunLen;
+    bool ToTerminator = true;
+    if constexpr (OneSegment) {
+      Seg->Start = LPC;
+      Seg->Begin = Done;
+      Seg->Term = nullptr;
+      // A segment no longer than the run stops at a block start, before
+      // any control flow (DecodedProgram::segLens()).  Fused groups never
+      // cross a block start, so the cut needs no special dispatch.
+      if (SegLens[LPC] <= Run) {
+        Run = SegLens[LPC];
+        ToTerminator = false;
+      }
+    }
     if (DMP_UNLIKELY(Run > MaxInstrs - Done)) {
       // Budget-clamped partial run: a fused group could straddle the cut,
       // so retire it record by record on the base opcode; the loop
@@ -326,18 +341,26 @@ void Emulator::run(uint64_t MaxInstrs) {
 #endif
     LPC += static_cast<uint32_t>(Run);
     Done += Run;
-    if (Done >= MaxInstrs)
+    if (Done >= MaxInstrs || !ToTerminator)
       break;
     // The instruction at LPC is now the control-flow terminator of the run
     // (or we started on one: Run == 0).  Handle it inline — same semantics
     // as step(), minus the DynInstr bookkeeping no caller of run() needs.
     const DecodedInstr &T = CodeL[LPC];
     ++Done;
+    if constexpr (OneSegment) {
+      Seg->Term = &T;
+      Seg->TermAddr = LPC;
+      Seg->Taken = false;
+    }
     switch (T.Op) {
-    case Opcode::CondBr:
-      LPC = isa::evalCond(T.Cond, RegsL[T.Src1], RegsL[T.Src2]) ? T.Target
-                                                                : LPC + 1;
+    case Opcode::CondBr: {
+      const bool Taken = isa::evalCond(T.Cond, RegsL[T.Src1], RegsL[T.Src2]);
+      if constexpr (OneSegment)
+        Seg->Taken = Taken;
+      LPC = Taken ? T.Target : LPC + 1;
       break;
+    }
     case Opcode::Jmp:
       LPC = T.Target;
       break;
@@ -357,9 +380,22 @@ void Emulator::run(uint64_t MaxInstrs) {
       Halted = true;
       break;
     }
+    if constexpr (OneSegment)
+      break;
   }
   PC = LPC;
   Executed = Done;
+}
+
+void Emulator::run(uint64_t MaxInstrs) {
+  runBatched</*OneSegment=*/false>(MaxInstrs, nullptr);
+}
+
+bool Emulator::runSegment(uint64_t MaxInstrs, Segment &Out) {
+  if (Halted || Executed >= MaxInstrs)
+    return false;
+  runBatched</*OneSegment=*/true>(MaxInstrs, &Out);
+  return true;
 }
 
 bool Emulator::stepReference(DynInstr &Out) {

@@ -13,7 +13,10 @@
 /// Two execution paths share one architectural state:
 ///  - step() dispatches over the predecoded flat array (DecodedProgram) and
 ///    is inlined into every caller's loop; run() additionally retires whole
-///    straight-line runs without per-instruction bookkeeping.
+///    straight-line runs without per-instruction bookkeeping, and
+///    runSegment() is the same batched loop cut at basic-block boundaries
+///    for observers that only need block entries and control flow (the
+///    profilers).
 ///  - stepReference() re-dispatches from the IR every step — the original
 ///    interpreter, kept verbatim as the oracle the fast path is
 ///    differentially tested against (and used by the fuzz oracle's
@@ -44,6 +47,22 @@ struct DynInstr {
   bool Taken = false;
   /// For Load/Store: the effective word address.
   uint64_t MemAddr = 0;
+};
+
+/// What one Emulator::runSegment() call retired: a straight-line segment
+/// (never crossing a basic-block start) and, when the segment reached it
+/// within the budget, the control-flow instruction that ends it.
+struct Segment {
+  /// Address of the segment's first instruction.
+  uint32_t Start = 0;
+  /// executedCount() before the segment's first instruction.
+  uint64_t Begin = 0;
+  /// The retired control-flow instruction ending the segment, or nullptr
+  /// when the segment stopped at a block boundary or at the budget.
+  const DecodedInstr *Term = nullptr;
+  /// Term's address, and for a CondBr its resolved direction.
+  uint32_t TermAddr = 0;
+  bool Taken = false;
 };
 
 /// Architectural state + stepper.
@@ -177,6 +196,15 @@ public:
   /// records or re-checking halt/budget per instruction.
   void run(uint64_t MaxInstrs);
 
+  /// Retires one segment: the straight-line instructions from the current
+  /// PC up to the next basic-block start (DecodedProgram::segLens()), and
+  /// then the control-flow instruction ending them if the segment reached
+  /// it — all clamped to \p MaxInstrs retired in total.  Returns false,
+  /// retiring nothing, when the program has halted or the budget is spent.
+  /// Repeated calls are bit-identical in final state to run(MaxInstrs);
+  /// block entries are exactly the segments whose Start begins a block.
+  bool runSegment(uint64_t MaxInstrs, Segment &Out);
+
   /// Executes one instruction by re-decoding from the IR — the original
   /// interpreter loop, preserved as the reference semantics for the
   /// differential tests and the fuzz oracle.  Interchangeable with step()
@@ -196,6 +224,10 @@ public:
   size_t callDepth() const { return CallStack.size(); }
 
 private:
+  /// The batched interpreter behind run() (whole program, \p Seg null) and
+  /// runSegment() (one segment, described into \p Seg).
+  template <bool OneSegment> void runBatched(uint64_t MaxInstrs, Segment *Seg);
+
   /// r0 is hardwired to zero: writes are dropped, which keeps Regs[0] == 0
   /// forever and lets every read be a plain array load.
   void writeReg(ir::Reg R, int64_t V) {
@@ -207,6 +239,8 @@ private:
   /// Flat decoded array, owned by the Program's decode cache (valid as long
   /// as P is).
   const DecodedInstr *Code;
+  /// DecodedProgram::segLens() of the same program.
+  const uint32_t *SegLens;
   std::vector<int64_t> Memory;
   uint64_t AddrMask;
   int64_t Regs[ir::NumRegs] = {};

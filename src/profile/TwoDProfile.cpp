@@ -9,6 +9,7 @@
 #include "profile/Emulator.h"
 #include "uarch/BranchPredictor.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace dmp;
@@ -64,25 +65,40 @@ bool TwoDProfileData::isPotentiallyMispredicted(uint32_t Addr,
 TwoDProfileData profile::collectTwoDProfile(
     const ir::Program &P, const std::vector<int64_t> &MemoryImage,
     unsigned NumSlices, uint64_t MaxInstrs) {
-  TwoDProfileData Data;
+  // The same block-granular loop as collectProfile: only segment
+  // terminators matter, counted in a dense NumSlices-wide row per static
+  // branch and moved into the map once, at the end, for the branches that
+  // executed.
+  const std::vector<uint32_t> &Branches = P.condBranchAddrs();
+  std::vector<uint32_t> BranchAt(P.instrCount(), 0);
+  for (size_t I = 0; I < Branches.size(); ++I)
+    BranchAt[Branches[I]] = static_cast<uint32_t>(I);
+  std::vector<std::pair<uint64_t, uint64_t>> Counts(Branches.size() *
+                                                    NumSlices);
   Emulator Emu(P, MemoryImage);
-  auto Predictor = uarch::createPredictor(uarch::PredictorKind::GShare);
+  uarch::GSharePredictor Predictor;
 
   const uint64_t SliceLen = std::max<uint64_t>(1, MaxInstrs / NumSlices);
-  DynInstr D;
-  while (Emu.executedCount() < MaxInstrs && Emu.step(D)) {
-    if (D.I->Op != ir::Opcode::CondBr)
+  Segment S;
+  while (Emu.runSegment(MaxInstrs, S)) {
+    if (!S.Term || S.Term->Op != ir::Opcode::CondBr)
       continue;
-    const bool Predicted = Predictor->predict(D.Addr);
-    Predictor->update(D.Addr, D.Taken);
+    const bool Predicted = Predictor.predict(S.TermAddr);
+    Predictor.update(S.TermAddr, S.Taken);
     const unsigned Slice = static_cast<unsigned>(
         std::min<uint64_t>(Emu.executedCount() / SliceLen, NumSlices - 1));
-    PhaseStats &S = Data.statsFor(D.Addr);
-    if (S.Slices.size() < NumSlices)
-      S.Slices.resize(NumSlices, {0, 0});
-    ++S.Slices[Slice].first;
-    if (Predicted != D.Taken)
-      ++S.Slices[Slice].second;
+    auto &C = Counts[BranchAt[S.TermAddr] * size_t{NumSlices} + Slice];
+    ++C.first;
+    if (Predicted != S.Taken)
+      ++C.second;
+  }
+
+  TwoDProfileData Data;
+  for (size_t I = 0; I < Branches.size(); ++I) {
+    const auto First = Counts.begin() + I * NumSlices;
+    const auto Last = First + NumSlices;
+    if (std::any_of(First, Last, [](const auto &C) { return C.first != 0; }))
+      Data.statsFor(Branches[I]).Slices.assign(First, Last);
   }
   return Data;
 }

@@ -202,6 +202,9 @@ void ChaosProxy::run() {
     if (Polls[0].revents & POLLIN)
       break; // stop requested
 
+    // Only the links that existed when Polls was built have poll slots; a
+    // link accepted below waits for the next round.
+    const size_t Polled = Links.size();
     if (Polls[1].revents & POLLIN) {
       const int Client = ::accept(ListenFd, nullptr, nullptr);
       if (Client >= 0) {
@@ -228,11 +231,11 @@ void ChaosProxy::run() {
     }
 
     uint8_t Buf[4096];
-    size_t P = 2;
-    for (Link &L : Links) {
+    for (size_t I = 0; I < Polled; ++I) {
+      Link &L = Links[I];
       bool Cut = false;
-      for (int Dir = 0; Dir < 2 && !Cut; ++Dir, ++P) {
-        if (!(Polls[P].revents & (POLLIN | POLLHUP | POLLERR)))
+      for (int Dir = 0; Dir < 2 && !Cut; ++Dir) {
+        if (!(Polls[2 + 2 * I + Dir].revents & (POLLIN | POLLHUP | POLLERR)))
           continue;
         const int From = Dir == 0 ? L.Client : L.Upstream;
         const int To = Dir == 0 ? L.Upstream : L.Client;
@@ -246,9 +249,6 @@ void ChaosProxy::run() {
           Cut = true;
         }
       }
-      // Skip the second poll slot if Dir loop exited early via Cut.
-      while ((P - 2) % 2 != 0)
-        ++P;
       if (Cut)
         CloseLink(L);
     }

@@ -244,14 +244,23 @@ TEST(EmulatorTest, RegZeroIsHardwired) {
   auto P = std::make_unique<Program>("t");
   Function *F = P->createFunction("main");
   BasicBlock *Entry = F->createBlock("entry");
+  // IRBuilder asserts Dst != r0, so the two r0 writes are built directly.
+  auto WriteR0 = [](Opcode Op, Reg Src, int64_t Imm) {
+    Instruction I;
+    I.Op = Op;
+    I.Dst = RegZero;
+    I.Src1 = I.Src2 = Src;
+    I.Imm = Imm;
+    return I;
+  };
   IRBuilder B(*P);
   B.setInsertPoint(Entry);
-  B.loadImm(0, 123); // Write to r0 is dropped.
-  B.addI(1, 0, 5);   // r1 = r0 + 5 = 5.
-  B.add(2, 0, 0);    // r2 = 0.
+  Entry->append(WriteR0(Opcode::LoadImm, 0, 123)); // Write to r0 is dropped.
+  B.addI(1, 0, 5); // r1 = r0 + 5 = 5.
+  B.add(2, 0, 0);  // r2 = 0.
   B.loadImm(3, 7);
-  B.add(0, 3, 3); // Another dropped write.
-  B.or_(4, 0, 3); // r4 = 0 | 7.
+  Entry->append(WriteR0(Opcode::Add, 3, 0)); // r0 = r3 + r3, dropped.
+  B.or_(4, 0, 3);                            // r4 = 0 | 7.
   B.halt();
   P->finalize();
   Emulator Emu(*P, {});

@@ -69,26 +69,33 @@ void compareSteppers(const ir::Program &P, const std::vector<int64_t> &Image,
   EXPECT_EQ(sim::fingerprintMemory(Fast), sim::fingerprintMemory(Ref));
 }
 
-/// Asserts Emulator::run(\p MaxInstrs) matches the equivalent step() loop
-/// in final state — the block-batching must be invisible.
+/// Asserts Emulator::run(\p MaxInstrs) and a runSegment() loop both match
+/// the equivalent step() loop in final state — the block-batching must be
+/// invisible.
 void compareRunVsStepLoop(const ir::Program &P,
                           const std::vector<int64_t> &Image,
                           uint64_t MaxInstrs) {
   Emulator Batched(P, Image);
   Batched.run(MaxInstrs);
+  Emulator Segmented(P, Image);
+  Segment S;
+  while (Segmented.runSegment(MaxInstrs, S)) {
+  }
   Emulator Stepped(P, Image);
   DynInstr D;
   while (Stepped.executedCount() < MaxInstrs && Stepped.step(D)) {
   }
-  EXPECT_EQ(Batched.executedCount(), Stepped.executedCount());
-  EXPECT_EQ(Batched.isHalted(), Stepped.isHalted());
-  EXPECT_EQ(Batched.pc(), Stepped.pc());
-  EXPECT_EQ(Batched.callDepth(), Stepped.callDepth());
-  for (unsigned R = 0; R < ir::NumRegs; ++R)
-    ASSERT_EQ(Batched.reg(static_cast<ir::Reg>(R)),
-              Stepped.reg(static_cast<ir::Reg>(R)))
-        << "r" << R;
-  EXPECT_EQ(sim::fingerprintMemory(Batched), sim::fingerprintMemory(Stepped));
+  for (const Emulator *E : {&Batched, &Segmented}) {
+    EXPECT_EQ(E->executedCount(), Stepped.executedCount());
+    EXPECT_EQ(E->isHalted(), Stepped.isHalted());
+    EXPECT_EQ(E->pc(), Stepped.pc());
+    EXPECT_EQ(E->callDepth(), Stepped.callDepth());
+    for (unsigned R = 0; R < ir::NumRegs; ++R)
+      ASSERT_EQ(E->reg(static_cast<ir::Reg>(R)),
+                Stepped.reg(static_cast<ir::Reg>(R)))
+          << "r" << R;
+    EXPECT_EQ(sim::fingerprintMemory(*E), sim::fingerprintMemory(Stepped));
+  }
 }
 
 void compareAllPaths(const ir::Program &P, const std::vector<int64_t> &Image,

@@ -12,13 +12,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/SimpleSelectors.h"
 #include "guard/Guard.h"
+#include "harness/CellRun.h"
 #include "harness/Engine.h"
 #include "harness/Reports.h"
 
 #include <cstdio>
-#include <functional>
 
 using namespace dmp;
 
@@ -28,43 +27,15 @@ int main(int Argc, char **Argv) {
       harness::EngineOptions::parseOrExit(Argc, Argv);
   harness::ExperimentEngine Engine(harness::ExperimentOptions(), EngineOpts);
 
-  using SelectorFn = std::function<core::DivergeMap(harness::BenchContext &)>;
+  // Display name and the --algo name harness::selectByAlgo runs.
   struct Config {
     const char *Name;
-    SelectorFn Select;
+    const char *Algo;
   };
   const Config Configs[] = {
-      {"Every-br",
-       [](harness::BenchContext &B) {
-         return core::selectEveryBranch(
-             B.analysis(), B.profileData(workloads::InputSetKind::Run));
-       }},
-      {"Random-50",
-       [](harness::BenchContext &B) {
-         return core::selectRandom50(
-             B.analysis(), B.profileData(workloads::InputSetKind::Run));
-       }},
-      {"High-BP-5",
-       [](harness::BenchContext &B) {
-         return core::selectHighBP(
-             B.analysis(), B.profileData(workloads::InputSetKind::Run));
-       }},
-      {"Immediate",
-       [](harness::BenchContext &B) {
-         return core::selectImmediate(
-             B.analysis(), B.profileData(workloads::InputSetKind::Run));
-       }},
-      {"If-else",
-       [](harness::BenchContext &B) {
-         return core::selectIfElse(B.analysis(),
-                                   B.profileData(workloads::InputSetKind::Run),
-                                   B.options().Selection);
-       }},
-      {"All-best-heur",
-       [](harness::BenchContext &B) {
-         return B.select(core::SelectionFeatures::allBestHeur(),
-                         workloads::InputSetKind::Run);
-       }},
+      {"Every-br", "every-br"},   {"Random-50", "random-50"},
+      {"High-BP-5", "high-bp-5"}, {"Immediate", "immediate"},
+      {"If-else", "if-else"},     {"All-best-heur", "all"},
   };
 
   const std::vector<workloads::BenchmarkSpec> Suite =
@@ -78,8 +49,11 @@ int main(int Argc, char **Argv) {
       Engine.runMatrix<double>(
           Suite, std::size(Configs),
           [&Configs](harness::Cell &C) {
-            const sim::SimStats Dmp =
-                C.Bench.simulateWith(Configs[C.Config].Select(C.Bench));
+            StatusOr<core::DivergeMap> Map = harness::selectByAlgo(
+                C.Bench, Configs[C.Config].Algo, workloads::InputSetKind::Run);
+            if (!Map.ok())
+              throw StatusError(Map.status());
+            const sim::SimStats Dmp = C.Bench.simulateWith(*Map);
             return harness::ipcImprovement(C.Bench.baseline(), Dmp);
           },
           harness::CellNeeds(), Journal, &harness::doubleCellCodec());

@@ -40,12 +40,12 @@
 #include "sim/FinalState.h"
 #include "sim/SimConfig.h"
 #include "support/ExitCodes.h"
+#include "support/Flags.h"
 #include "support/Json.h"
 #include "workloads/SpecSuite.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -78,30 +78,21 @@ struct Options {
 
   static Options parseOrExit(int Argc, char **Argv) {
     Options O;
-    for (int I = 1; I < Argc; ++I) {
-      const std::string Arg = Argv[I];
-      auto Value = [&](const char *Prefix) -> const char * {
-        return Arg.rfind(Prefix, 0) == 0 ? Arg.c_str() + std::strlen(Prefix)
-                                         : nullptr;
-      };
-      if (Arg == "--smoke") {
-        O.Smoke = true;
-      } else if (const char *V = Value("--check=")) {
-        O.CheckPath = V;
-      } else if (const char *V = Value("--out=")) {
-        O.OutPath = V;
-      } else if (const char *V = Value("--reps=")) {
-        O.Reps = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
-      } else if (const char *V = Value("--limit-benches=")) {
-        O.LimitBenches = std::strtoul(V, nullptr, 10);
-      } else {
-        std::fprintf(stderr,
-                     "usage: bench_throughput [--smoke] [--check=SNAPSHOT] "
-                     "[--out=PATH] [--reps=N] [--limit-benches=N]\n");
-        std::exit(Arg == "-h" || Arg == "--help" ? exitcode::Ok
-                                                 : exitcode::Usage);
-      }
-    }
+    FlagParser()
+        .set("--smoke", O.Smoke, true,
+             "small budgets for a quick re-measurement")
+        .text("--check", "SNAPSHOT", O.CheckPath,
+              "gate against a committed snapshot instead of\n"
+              "writing one")
+        .text("--out", "PATH", O.OutPath,
+              "snapshot to write (default BENCH_throughput.json)")
+        .number("--reps", "N", O.Reps, 0,
+                std::numeric_limits<unsigned>::max(),
+                "best-of-N repetitions (default 3, 2 with --smoke)")
+        .number("--limit-benches", "N", O.LimitBenches, 0,
+                std::numeric_limits<size_t>::max(),
+                "measure only the first N workloads (default all)")
+        .parseOrExit(Argc, Argv);
     if (O.Smoke) {
       O.EmuInstrs = 600'000;
       O.RefInstrs = 300'000;

@@ -6,10 +6,8 @@
 
 #include "core/AnnotationIO.h"
 
+#include "support/Flags.h"
 #include "support/StringUtils.h"
-
-#include <cerrno>
-#include <cstdlib>
 
 using namespace dmp;
 using namespace dmp::core;
@@ -49,30 +47,20 @@ std::string core::serializeDivergeMap(const DivergeMap &Map) {
   return Out;
 }
 
-/// Strict u32 parse: the whole token must be a decimal number that fits,
-/// so garbage like "12x" or "99999999999" is a diagnostic, not a silent 0.
+/// Strict decimal parses (support/Flags.h), so garbage like "12x",
+/// "99999999999" or "-0.5" is a diagnostic, not a silent 0.
 static bool parseU32Strict(const std::string &Token, uint32_t &Out) {
-  if (Token.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  const unsigned long long V = std::strtoull(Token.c_str(), &End, 10);
-  if (End == Token.c_str() || *End != '\0' || errno == ERANGE ||
-      V > 0xFFFFFFFFULL)
-    return false;
-  Out = static_cast<uint32_t>(V);
-  return true;
+  const std::optional<uint64_t> V = parseDecimal(Token, 0, 0xFFFFFFFFULL);
+  if (V)
+    Out = static_cast<uint32_t>(*V);
+  return V.has_value();
 }
 
 static bool parseProbStrict(const std::string &Token, double &Out) {
-  if (Token.empty())
-    return false;
-  char *End = nullptr;
-  const double V = std::strtod(Token.c_str(), &End);
-  if (End == Token.c_str() || *End != '\0' || !(V >= 0.0) || !(V <= 1.0))
-    return false;
-  Out = V;
-  return true;
+  const std::optional<double> V = parseDecimalReal(Token, 0.0, 1.0);
+  if (V)
+    Out = *V;
+  return V.has_value();
 }
 
 Status core::parseDivergeMap(const std::string &Text, DivergeMap &Map) {

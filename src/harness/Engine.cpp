@@ -7,6 +7,7 @@
 #include "harness/Engine.h"
 
 #include "support/ExitCodes.h"
+#include "support/Flags.h"
 
 #include <csignal>
 #include <cstdio>
@@ -23,115 +24,38 @@ std::string EngineOptions::defaultCacheDir() {
   return ".dmp-cache";
 }
 
-void EngineOptions::printUsage(const char *Prog, std::FILE *Out) {
-  std::fprintf(
-      Out,
-      "usage: %s [--jobs N] [--cache-dir DIR] [--no-cache] "
-      "[--journal NAME]\n"
-      "          [--deadline SEC] [--cell-instr-budget N] "
-      "[--cache-budget BYTES] [--limit-benches N]\n"
-      "  --jobs N             worker threads for the experiment matrix "
-      "(default: hardware threads)\n"
-      "  --cache-dir DIR      artifact cache location (default: "
-      "$DMP_CACHE_DIR or .dmp-cache)\n"
-      "  --no-cache           recompute everything; do not read or "
-      "write the artifact cache\n"
-      "  --journal NAME       checkpoint completed cells under campaign "
-      "NAME and resume them on rerun\n"
-      "  --deadline SEC       stop launching cells after SEC seconds; "
-      "unfinished cells render as gaps\n"
-      "  --cell-instr-budget N abort any cell still simulating after N "
-      "retired instructions (ResourceExhausted)\n"
-      "  --cache-budget BYTES evict oldest cache blobs down to BYTES "
-      "after the run (journals are kept)\n"
-      "  --limit-benches N    run only the first N suite benchmarks\n"
-      "exit codes: 0 ok, 1 failure, 2 usage, 130 interrupted "
-      "(checkpoint flushed; rerun with --journal to resume)\n",
-      Prog);
-}
-
-namespace {
-
-/// Parses "--flag=V" or "--flag V"; advances \p I past a consumed separate
-/// value.  Returns nullptr when \p Arg is not \p Flag.
-const char *flagValue(const char *Flag, int &I, int Argc, char **Argv) {
-  const char *Arg = Argv[I];
-  const size_t FlagLen = std::strlen(Flag);
-  if (std::strncmp(Arg, Flag, FlagLen) != 0)
-    return nullptr;
-  if (Arg[FlagLen] == '=')
-    return Arg + FlagLen + 1;
-  if (Arg[FlagLen] == '\0' && I + 1 < Argc)
-    return Argv[++I];
-  return nullptr;
-}
-
-} // namespace
-
 EngineOptions EngineOptions::parseOrExit(int Argc, char **Argv) {
   EngineOptions Opts;
-  auto UsageError = [&](const char *Fmt, const char *What) {
-    std::fprintf(stderr, Fmt, What);
-    printUsage(Argv[0], stderr);
-    std::exit(exitcode::Usage);
-  };
-  auto ParseU64 = [&](const char *Flag, const char *V, uint64_t Min,
-                      uint64_t Max) -> uint64_t {
-    char *End = nullptr;
-    const unsigned long long N = std::strtoull(V, &End, 10);
-    if (End == V || *End != '\0' || N < Min || N > Max) {
-      std::fprintf(stderr, "error: invalid %s value '%s'\n", Flag, V);
-      printUsage(Argv[0], stderr);
-      std::exit(exitcode::Usage);
-    }
-    return N;
-  };
-  for (int I = 1; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    if (std::strcmp(Arg, "--help") == 0 || std::strcmp(Arg, "-h") == 0) {
-      printUsage(Argv[0], stdout);
-      std::exit(exitcode::Ok);
-    }
-    if (std::strcmp(Arg, "--no-cache") == 0) {
-      Opts.UseCache = false;
-      continue;
-    }
-    if (const char *V = flagValue("--jobs", I, Argc, Argv)) {
-      Opts.Jobs = static_cast<unsigned>(ParseU64("--jobs", V, 1, 1024));
-      continue;
-    }
-    if (const char *V = flagValue("--cache-dir", I, Argc, Argv)) {
-      Opts.CacheDir = V;
-      continue;
-    }
-    if (const char *V = flagValue("--journal", I, Argc, Argv)) {
-      Opts.Journal = V;
-      continue;
-    }
-    if (const char *V = flagValue("--deadline", I, Argc, Argv)) {
-      char *End = nullptr;
-      const double Sec = std::strtod(V, &End);
-      if (End == V || *End != '\0' || !(Sec > 0.0))
-        UsageError("error: invalid --deadline value '%s'\n", V);
-      Opts.DeadlineSeconds = Sec;
-      continue;
-    }
-    if (const char *V = flagValue("--cell-instr-budget", I, Argc, Argv)) {
-      Opts.CellInstrBudget =
-          ParseU64("--cell-instr-budget", V, 1, ~0ULL);
-      continue;
-    }
-    if (const char *V = flagValue("--cache-budget", I, Argc, Argv)) {
-      Opts.CacheBudgetBytes = ParseU64("--cache-budget", V, 0, ~0ULL);
-      continue;
-    }
-    if (const char *V = flagValue("--limit-benches", I, Argc, Argv)) {
-      Opts.LimitBenches =
-          static_cast<size_t>(ParseU64("--limit-benches", V, 1, 1 << 20));
-      continue;
-    }
-    UsageError("error: unknown option '%s'\n", Arg);
-  }
+  FlagParser("[options]", "",
+             "exit codes: 0 ok, 1 failure, 2 usage, 130 interrupted\n"
+             "(checkpoint flushed; rerun with --journal to resume)\n")
+      .number("--jobs", "N", Opts.Jobs, 1, 1024,
+              "worker threads for the experiment matrix\n"
+              "(default: hardware threads)")
+      .text("--cache-dir", "DIR", Opts.CacheDir,
+            "artifact cache location (default: $DMP_CACHE_DIR\n"
+            "or .dmp-cache)")
+      .set("--no-cache", Opts.UseCache, false,
+           "recompute everything; do not read or write the\n"
+           "artifact cache")
+      .text("--journal", "NAME", Opts.Journal,
+            "checkpoint completed cells under campaign NAME\n"
+            "and resume them on rerun")
+      .real("--deadline", "SEC", Opts.DeadlineSeconds,
+            std::numeric_limits<double>::denorm_min(), 1e9,
+            "stop launching cells after SEC seconds;\n"
+            "unfinished cells render as gaps")
+      .number("--cell-instr-budget", "N", Opts.CellInstrBudget, 1,
+              std::numeric_limits<uint64_t>::max(),
+              "abort any cell still simulating after N retired\n"
+              "instructions (ResourceExhausted)")
+      .number("--cache-budget", "BYTES", Opts.CacheBudgetBytes, 0,
+              std::numeric_limits<uint64_t>::max(),
+              "evict oldest cache blobs down to BYTES after the\n"
+              "run (journals are kept)")
+      .number("--limit-benches", "N", Opts.LimitBenches, 1, 1 << 20,
+              "run only the first N suite benchmarks")
+      .parseOrExit(Argc, Argv);
   return Opts;
 }
 
@@ -176,8 +100,9 @@ ExperimentEngine::ExperimentEngine(ExperimentOptions Options,
   if (Engine.DeadlineSeconds > 0.0)
     Watchdog = std::make_unique<guard::DeadlineWatchdog>(
         guard::Deadline(Engine.DeadlineSeconds), DeadlineToken);
+  // A malformed value leaves the hook unarmed.
   if (const char *Env = std::getenv("DMP_TEST_RAISE_SIGINT_AFTER_CELLS"))
-    RaiseSigintAfterCells = std::strtoull(Env, nullptr, 10);
+    RaiseSigintAfterCells = parseDecimal(Env).value_or(0);
   if (Engine.UseCache && !this->Options.Cache)
     this->Options.Cache =
         std::make_shared<serialize::ArtifactCache>(Engine.CacheDir);

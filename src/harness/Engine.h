@@ -101,12 +101,9 @@ struct EngineOptions {
 
   /// Parses the shared driver flags (--jobs N, --cache-dir DIR, --no-cache,
   /// --journal NAME, --deadline SEC, --cell-instr-budget N, --cache-budget
-  /// BYTES, --limit-benches N, --help).  Prints usage and exits with
-  /// exitcode::Usage on any unknown/invalid argument, so drivers reject
-  /// stray flags instead of ignoring them.
+  /// BYTES, --limit-benches N, --help) through support/Flags.h: any unknown
+  /// or malformed argument prints usage and exits exitcode::Usage.
   static EngineOptions parseOrExit(int Argc, char **Argv);
-
-  static void printUsage(const char *Prog, std::FILE *Out);
 };
 
 /// One (benchmark, configuration) unit of work handed to a cell function.

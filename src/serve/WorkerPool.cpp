@@ -9,6 +9,7 @@
 #include "serialize/ArtifactCache.h"
 #include "serve/Protocol.h"
 #include "support/ExitCodes.h"
+#include "support/Flags.h"
 
 #include <cerrno>
 #include <chrono>
@@ -30,14 +31,11 @@ namespace {
 /// stream down to this cadence to keep the socketpair traffic negligible.
 constexpr auto kHeartbeatInterval = std::chrono::milliseconds(50);
 
-/// Parses a crash-injection ticket from \p EnvVar; ~0ull means unarmed.
+/// Parses a crash-injection ticket from \p EnvVar; ~0ull (also the answer
+/// for a malformed value) means unarmed.
 uint64_t ticketFromEnv(const char *EnvVar) {
   const char *Env = std::getenv(EnvVar);
-  if (!Env)
-    return ~0ull;
-  char *End = nullptr;
-  const uint64_t V = std::strtoull(Env, &End, 10);
-  return (End != Env && *End == '\0') ? V : ~0ull;
+  return Env ? parseDecimal(Env).value_or(~0ull) : ~0ull;
 }
 
 } // namespace

@@ -370,6 +370,27 @@ TEST(SignalTest, SigintMidCampaignExits130FlushesCheckpointAndResumes) {
   std::filesystem::remove_all(Dir, EC);
 }
 
+// The interrupt hook reads its count with the strict number rule: a
+// malformed value leaves it unarmed, so the campaign runs to completion.
+TEST(SignalTest, MalformedSigintHookStaysUnarmed) {
+  const int Exit = runForked([] {
+    ::setenv("DMP_TEST_RAISE_SIGINT_AFTER_CELLS", "2x", 1);
+    guard::installSignalHandlers();
+    harness::EngineOptions EngineOpts;
+    EngineOpts.Jobs = 1;
+    EngineOpts.UseCache = false;
+    harness::ExperimentEngine Engine(miniOptions(), EngineOpts);
+    const std::vector<workloads::BenchmarkSpec> Suite = miniSuite();
+    Engine.runMatrix<double>(
+        Suite, 2, [](harness::Cell &C) { return static_cast<double>(C.Config); },
+        harness::CellNeeds{false, false, false});
+    if (Engine.campaign().CellsComputed != 2 * Suite.size())
+      return 4;
+    return harness::finishDriver(Engine);
+  });
+  EXPECT_EQ(Exit, exitcode::Ok);
+}
+
 //===----------------------------------------------------------------------===//
 // 5. Concurrent multi-process cache access
 //===----------------------------------------------------------------------===//

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Flags.h"
 #include "support/Histogram.h"
 #include "support/MathExtras.h"
 #include "support/RNG.h"
@@ -215,4 +216,153 @@ TEST(TableTest, RendersAlignedColumns) {
   EXPECT_NE(Out.find("2.10"), std::string::npos);
   EXPECT_NE(Out.find("-+-"), std::string::npos);
   EXPECT_EQ(T.rowCount(), 3u);
+}
+
+TEST(FlagsTest, DecimalRejectsSignWhitespaceJunkAndEmpty) {
+  EXPECT_EQ(parseDecimal("42"), 42u);
+  EXPECT_EQ(parseDecimal("007"), 7u);
+  for (const char *Bad : {"", "-1", "+5", " 4", "4 ", "4\n", "12x", "0x10",
+                          "1e3", "4.0"})
+    EXPECT_FALSE(parseDecimal(Bad).has_value()) << "'" << Bad << "'";
+}
+
+TEST(FlagsTest, DecimalRejectsOverflow) {
+  EXPECT_EQ(parseDecimal("18446744073709551615"), ~0ULL);
+  EXPECT_FALSE(parseDecimal("18446744073709551616").has_value());
+  EXPECT_FALSE(parseDecimal("99999999999999999999").has_value());
+}
+
+TEST(FlagsTest, DecimalRangeEdgesAreInclusive) {
+  EXPECT_EQ(parseDecimal("1", 1, 1024), 1u);
+  EXPECT_EQ(parseDecimal("1024", 1, 1024), 1024u);
+  EXPECT_FALSE(parseDecimal("0", 1, 1024).has_value());
+  EXPECT_FALSE(parseDecimal("1025", 1, 1024).has_value());
+}
+
+TEST(FlagsTest, RealAcceptsPlainDecimalsOnly) {
+  EXPECT_EQ(parseDecimalReal("0.05", 0, 1), 0.05);
+  EXPECT_EQ(parseDecimalReal(".5", 0, 1), 0.5);
+  EXPECT_EQ(parseDecimalReal("1", 0, 1), 1.0);
+  for (const char *Bad : {"", ".", "1.2.3", "-0.5", "+0.5", " 0.5", "0.5 ",
+                          "0.5x", "1e-3", "nan", "NaN", "inf", "-inf",
+                          "infinity", "0x1p-2"})
+    EXPECT_FALSE(parseDecimalReal(Bad, 0, 1e300).has_value())
+        << "'" << Bad << "'";
+}
+
+TEST(FlagsTest, RealRejectsOverflowAndOutOfRange) {
+  EXPECT_FALSE(parseDecimalReal(std::string(400, '9'), 0, 1e308).has_value());
+  EXPECT_EQ(parseDecimalReal("0", 0, 1), 0.0);
+  EXPECT_FALSE(parseDecimalReal("1.0001", 0, 1).has_value());
+  const double Tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_FALSE(parseDecimalReal("0.0", Tiny, 1e9).has_value());
+  EXPECT_EQ(parseDecimalReal("1000000000", Tiny, 1e9), 1e9);
+  EXPECT_FALSE(parseDecimalReal("1000000000.5", Tiny, 1e9).has_value());
+}
+
+namespace {
+
+/// A small flag table in the shape every tool declares.
+struct ParsedFlags {
+  unsigned Jobs = 4;
+  double Prob = 0.01;
+  std::string Dir = "default";
+  bool Cache = true;
+  int Mode = 0;
+  std::vector<std::string> Operands;
+  std::string Error;
+  bool Help = false;
+};
+
+ParsedFlags parseFlags(std::vector<const char *> Args) {
+  ParsedFlags R;
+  Args.insert(Args.begin(), "/path/to/tool");
+  FlagParser P("[options] <bench>");
+  P.number("--jobs", "N", R.Jobs, 1, 1024, "threads")
+      .real("--prob", "P", R.Prob, 0.0, 1.0, "probability")
+      .text("--dir", "DIR", R.Dir, "directory")
+      .set("--no-cache", R.Cache, false, "skip the cache")
+      .choice("--mode", R.Mode, {{"fast", 1}, {"slow", 2}}, "mode")
+      .operands("bench", R.Operands, 1);
+  R.Error = P.parse(static_cast<int>(Args.size()), Args.data());
+  R.Help = P.helpRequested();
+  return R;
+}
+
+} // namespace
+
+TEST(FlagsTest, EqualsAndSpaceFormsAgree) {
+  const ParsedFlags Eq = parseFlags(
+      {"--jobs=8", "--prob=0.5", "--dir=x", "--mode=slow", "--no-cache"});
+  const ParsedFlags Sp = parseFlags(
+      {"--jobs", "8", "--prob", "0.5", "--dir", "x", "--mode", "slow",
+       "--no-cache"});
+  for (const ParsedFlags *R : {&Eq, &Sp}) {
+    EXPECT_EQ(R->Error, "");
+    EXPECT_EQ(R->Jobs, 8u);
+    EXPECT_EQ(R->Prob, 0.5);
+    EXPECT_EQ(R->Dir, "x");
+    EXPECT_EQ(R->Mode, 2);
+    EXPECT_FALSE(R->Cache);
+  }
+}
+
+TEST(FlagsTest, DefaultsSurviveAnEmptyCommandLine) {
+  const ParsedFlags R = parseFlags({});
+  EXPECT_EQ(R.Error, "");
+  EXPECT_EQ(R.Jobs, 4u);
+  EXPECT_EQ(R.Prob, 0.01);
+  EXPECT_EQ(R.Dir, "default");
+  EXPECT_TRUE(R.Cache);
+  EXPECT_TRUE(R.Operands.empty());
+}
+
+TEST(FlagsTest, RejectsMalformedValues) {
+  for (std::vector<const char *> Args :
+       {std::vector<const char *>{"--jobs=-1"}, {"--jobs=0"}, {"--jobs= 4"},
+        {"--jobs", "1025"}, {"--jobs=4x"}, {"--jobs="}, {"--prob=nan"},
+        {"--prob=inf"}, {"--prob=1.5"}, {"--dir="}, {"--mode=medium"},
+        {"--no-cache=1"}}) {
+    EXPECT_NE(parseFlags(Args).Error, "") << Args[0];
+  }
+  EXPECT_EQ(parseFlags({"--jobs=0"}).Error,
+            "invalid --jobs value '0' (expected an integer in [1, 1024])");
+}
+
+TEST(FlagsTest, RejectsUnknownFlagsAndStrayOperands) {
+  EXPECT_EQ(parseFlags({"--bogus"}).Error, "unknown option '--bogus'");
+  EXPECT_EQ(parseFlags({"--jobsx=3"}).Error, "unknown option '--jobsx=3'");
+  EXPECT_EQ(parseFlags({"-j"}).Error, "unknown option '-j'");
+  const ParsedFlags One = parseFlags({"gzip"});
+  EXPECT_EQ(One.Error, "");
+  ASSERT_EQ(One.Operands.size(), 1u);
+  EXPECT_EQ(One.Operands[0], "gzip");
+  EXPECT_NE(parseFlags({"gzip", "mcf"}).Error, "");
+}
+
+TEST(FlagsTest, MissingValueAtEndOfArgv) {
+  EXPECT_EQ(parseFlags({"--jobs"}).Error, "missing value for --jobs");
+  EXPECT_EQ(parseFlags({"--no-cache", "--dir"}).Error,
+            "missing value for --dir");
+}
+
+TEST(FlagsTest, HelpStopsParsingAndListsTheTable) {
+  const ParsedFlags R = parseFlags({"--help", "--bogus"});
+  EXPECT_EQ(R.Error, "");
+  EXPECT_TRUE(R.Help);
+  EXPECT_TRUE(parseFlags({"-h"}).Help);
+
+  unsigned Jobs = 1;
+  FlagParser P("[options]", "About text.", "Exit codes: 0 ok\n");
+  P.number("--jobs", "N", Jobs, 1, 8, "worker threads");
+  const char *Argv[] = {"/bin/tool"};
+  EXPECT_EQ(P.parse(1, Argv), "");
+  EXPECT_EQ(P.usage(), "usage: tool [options]\n");
+  const std::string Help = P.help();
+  EXPECT_EQ(Help.rfind("usage: tool [options]\n", 0), 0u);
+  EXPECT_NE(Help.find("About text."), std::string::npos);
+  EXPECT_NE(Help.find("  --jobs N"), std::string::npos);
+  EXPECT_NE(Help.find("worker threads"), std::string::npos);
+  EXPECT_NE(Help.find("  --help"), std::string::npos);
+  EXPECT_NE(Help.find("Exit codes: 0 ok"), std::string::npos);
 }

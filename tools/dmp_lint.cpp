@@ -11,50 +11,24 @@
 // corrupted) annotation files are vetted before simulation.
 //
 // Usage:
-//   dmp_lint [benchmark...] [options]
+//   dmp_lint [options] [benchmark...]
 //
-// Options:
-//   --all                        lint every benchmark of the suite (the
-//                                default when no benchmark is named)
-//   --algo=<...>                 selection algorithm (dmpc's names;
-//                                default all)
-//   --profile-input=<run|train>  profiling input set (default run)
-//   --map=FILE                   lint FILE as the annotation set for the
-//                                (single) named benchmark; also checks the
-//                                serialized text for duplicate entries
-//   --format=<text|machine>      diagnostic rendering (default text;
-//                                machine is one tab-separated line per
-//                                diagnostic: code, severity, function,
-//                                block, addr, message)
-//   --profile-instrs=<n>         profiler instruction budget (default
-//                                4000000; lower for quick smoke lints)
-//   --max-instr=<n>              selection MAX_INSTR threshold (default 50)
-//   --min-merge-prob=<p>         selection MIN_MERGE_PROB (default 0.01)
-//   --werror                     exit non-zero on warnings too
-//   --meld-report                print the dataflow meldability TSV (one
-//                                row per annotated branch, a leading
-//                                workload column) instead of linting
-//   --json                       print one machine-readable JSON snapshot
-//                                of all diagnostics to stdout (round-trips
-//                                through dmp::json)
-//   --help                       full option and exit-code documentation
-//
-// Exit codes (support/ExitCodes.h): 0 clean, 1 diagnostics at gating
-// severity, 2 usage error.  --help prints the same contract.
+// `dmp_lint --help` lists every option and the exit-code contract (0 clean,
+// 1 diagnostics at gating severity, 2 usage error; support/ExitCodes.h).
+// Value flags take `--flag=V` or `--flag V`, like every other tool.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analyze/Analyze.h"
 #include "bench/BenchJson.h"
 #include "core/AnnotationIO.h"
-#include "core/SimpleSelectors.h"
 #include "dataflow/Meldability.h"
-#include "harness/Experiment.h"
+#include "harness/CellRun.h"
 #include "support/ExitCodes.h"
+#include "support/Flags.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -78,194 +52,67 @@ struct CliOptions {
   bool WarningsAsErrors = false;
   bool MeldReport = false;
   bool Json = false;
-  bool Help = false;
 };
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: dmp_lint [benchmark...] [--all] [--algo=...] "
-               "[--profile-input=run|train] [--map=FILE] "
-               "[--format=text|machine] [--profile-instrs=N] "
-               "[--max-instr=N] [--min-merge-prob=P] [--werror] "
-               "[--meld-report] [--json] [--help]\n");
-}
-
-void help() {
-  std::printf(
-      "usage: dmp_lint [benchmark...] [options]\n"
-      "\n"
+/// Parses argv into \p Opts; exits on --help and usage errors.
+void parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  FlagParser Flags(
+      "[options] [benchmark...]",
       "Build the named synthetic workloads (all of them with --all, the\n"
       "default), profile them, run diverge-branch selection, and lint the\n"
       "program + profile + annotations through the standard analyze pass\n"
       "pipeline (IRLint, AnnotationConsistency, CfmLegality,\n"
-      "PredicationSafety, ProfileSanity).\n"
-      "\n"
-      "Options:\n"
-      "  --all                        lint every benchmark of the suite\n"
-      "  --algo=<name>                selection algorithm (dmpc's names;\n"
-      "                               default all)\n"
-      "  --profile-input=<run|train>  profiling input set (default run)\n"
-      "  --map=FILE                   lint FILE as the annotation set for\n"
-      "                               the (single) named benchmark\n"
-      "  --format=<text|machine>      stderr diagnostic rendering (default\n"
-      "                               text; machine is one tab-separated\n"
-      "                               line per diagnostic)\n"
-      "  --profile-instrs=<n>         profiler instruction budget (default\n"
-      "                               4000000)\n"
-      "  --max-instr=<n>              selection MAX_INSTR (default 50)\n"
-      "  --min-merge-prob=<p>         selection MIN_MERGE_PROB (default\n"
-      "                               0.01)\n"
-      "  --werror                     warnings gate the exit code too\n"
-      "  --meld-report                print the meldability TSV (one row\n"
-      "                               per annotated branch, leading\n"
-      "                               workload column) to stdout instead\n"
-      "                               of linting; always exits 0 unless a\n"
-      "                               usage error occurs\n"
-      "  --json                       print one JSON snapshot of every\n"
-      "                               diagnostic to stdout (schema\n"
-      "                               dmp-bench/1, bench \"lint\"); replaces\n"
-      "                               the text summary, exit codes are\n"
-      "                               unchanged\n"
-      "  --help                       this text\n"
-      "\n"
+      "PredicationSafety, ProfileSanity).",
       "Exit codes:\n"
       "  0  clean: no error diagnostics (and no warnings under --werror)\n"
       "  1  gating diagnostics: at least one error-severity finding, or\n"
       "     any warning when --werror is set\n"
       "  2  usage error: unknown option/benchmark/algorithm, invalid\n"
       "     option value, or unreadable --map file\n");
-}
-
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
-    uint64_t U = 0;
-    if (Arg == "--all") {
-      Opts.All = true;
-    } else if (Arg.rfind("--algo=", 0) == 0) {
-      Opts.Algo = Arg.substr(7);
-    } else if (Arg.rfind("--profile-input=", 0) == 0) {
-      const std::string V = Arg.substr(16);
-      if (V == "train")
-        Opts.ProfileInput = workloads::InputSetKind::Train;
-      else if (V != "run") {
-        std::fprintf(stderr, "error: invalid --profile-input '%s'\n",
-                     V.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--map=", 0) == 0) {
-      Opts.MapFile = Arg.substr(6);
-      if (Opts.MapFile.empty()) {
-        std::fprintf(stderr, "error: empty --map value\n");
-        return false;
-      }
-    } else if (Arg.rfind("--format=", 0) == 0) {
-      const std::string V = Arg.substr(9);
-      if (V == "machine")
-        Opts.MachineFormat = true;
-      else if (V != "text") {
-        std::fprintf(stderr, "error: invalid --format '%s'\n", V.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--profile-instrs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 17, U) || U == 0) {
-        std::fprintf(stderr, "error: invalid --profile-instrs value '%s'\n",
-                     Arg.c_str() + 17);
-        return false;
-      }
-      Opts.ProfileInstrs = U;
-    } else if (Arg.rfind("--max-instr=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 || U > 1'000'000) {
-        std::fprintf(stderr, "error: invalid --max-instr value '%s'\n",
-                     Arg.c_str() + 12);
-        return false;
-      }
-      Opts.MaxInstr = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--min-merge-prob=", 0) == 0) {
-      char *End = nullptr;
-      const double P = std::strtod(Arg.c_str() + 17, &End);
-      if (End == Arg.c_str() + 17 || *End != '\0' || P < 0.0 || P > 1.0) {
-        std::fprintf(stderr, "error: invalid --min-merge-prob value '%s'\n",
-                     Arg.c_str() + 17);
-        return false;
-      }
-      Opts.MinMergeProb = P;
-    } else if (Arg == "--werror") {
-      Opts.WarningsAsErrors = true;
-    } else if (Arg == "--meld-report") {
-      Opts.MeldReport = true;
-    } else if (Arg == "--json") {
-      Opts.Json = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      Opts.Help = true;
-      return true;
-    } else if (Arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown option %s\n", Arg.c_str());
-      return false;
-    } else {
-      Opts.Benchmarks.push_back(Arg);
-    }
-  }
+  Flags.set("--all", Opts.All, true, "lint every benchmark of the suite")
+      .text("--algo", "NAME", Opts.Algo,
+            "selection algorithm (dmpc's names; default all)")
+      .choice("--profile-input", Opts.ProfileInput,
+              {{"run", workloads::InputSetKind::Run},
+               {"train", workloads::InputSetKind::Train}},
+              "profiling input set (default run)")
+      .text("--map", "FILE", Opts.MapFile,
+            "lint FILE as the annotation set for the (single)\n"
+            "named benchmark; also checks the serialized text\n"
+            "for duplicate entries")
+      .choice("--format", Opts.MachineFormat,
+              {{"text", false}, {"machine", true}},
+              "stderr diagnostic rendering (default text;\n"
+              "machine is one tab-separated line per\n"
+              "diagnostic: code, severity, function, block,\n"
+              "addr, message)")
+      .number("--profile-instrs", "N", Opts.ProfileInstrs, 1,
+              std::numeric_limits<uint64_t>::max(),
+              "profiler instruction budget (default 4000000)")
+      .number("--max-instr", "N", Opts.MaxInstr, 1, 1'000'000,
+              "selection MAX_INSTR (default 50)")
+      .real("--min-merge-prob", "P", Opts.MinMergeProb, 0.0, 1.0,
+            "selection MIN_MERGE_PROB (default 0.01)")
+      .set("--werror", Opts.WarningsAsErrors, true,
+           "warnings gate the exit code too")
+      .set("--meld-report", Opts.MeldReport, true,
+           "print the meldability TSV (one row per annotated\n"
+           "branch, leading workload column) to stdout\n"
+           "instead of linting; always exits 0 unless a\n"
+           "usage error occurs")
+      .set("--json", Opts.Json, true,
+           "print one JSON snapshot of every diagnostic to\n"
+           "stdout (schema dmp-bench/1, bench \"lint\");\n"
+           "replaces the text summary, exit codes are\n"
+           "unchanged")
+      .operands("benchmark", Opts.Benchmarks)
+      .parseOrExit(Argc, Argv);
   if (Opts.Benchmarks.empty())
     Opts.All = true;
-  if (!Opts.MapFile.empty() && (Opts.All || Opts.Benchmarks.size() != 1)) {
-    std::fprintf(stderr,
-                 "error: --map requires exactly one named benchmark\n");
-    return false;
-  }
-  if (Opts.MeldReport && Opts.Json) {
-    std::fprintf(stderr,
-                 "error: --meld-report and --json both claim stdout; "
-                 "pick one\n");
-    return false;
-  }
-  return true;
-}
-
-core::DivergeMap runSelection(harness::BenchContext &Bench,
-                              const CliOptions &Opts, bool &Ok) {
-  using core::SelectionFeatures;
-  Ok = true;
-  const auto Input = Opts.ProfileInput;
-  if (Opts.Algo == "exact")
-    return Bench.select(SelectionFeatures::exactOnly(), Input);
-  if (Opts.Algo == "freq")
-    return Bench.select(SelectionFeatures::exactFreq(), Input);
-  if (Opts.Algo == "short")
-    return Bench.select(SelectionFeatures::exactFreqShort(), Input);
-  if (Opts.Algo == "ret")
-    return Bench.select(SelectionFeatures::exactFreqShortRet(), Input);
-  if (Opts.Algo == "all")
-    return Bench.select(SelectionFeatures::allBestHeur(), Input);
-  if (Opts.Algo == "cost-long")
-    return Bench.select(SelectionFeatures::costLong(), Input);
-  if (Opts.Algo == "cost-edge")
-    return Bench.select(SelectionFeatures::costEdge(), Input);
-  if (Opts.Algo == "all-cost")
-    return Bench.select(SelectionFeatures::allBestCost(), Input);
-
-  const auto &PA = Bench.analysis();
-  const auto &Prof = Bench.profileData(Input);
-  if (Opts.Algo == "every-br")
-    return core::selectEveryBranch(PA, Prof);
-  if (Opts.Algo == "random-50")
-    return core::selectRandom50(PA, Prof);
-  if (Opts.Algo == "high-bp-5")
-    return core::selectHighBP(PA, Prof);
-  if (Opts.Algo == "immediate")
-    return core::selectImmediate(PA, Prof);
-  if (Opts.Algo == "if-else")
-    return core::selectIfElse(PA, Prof, Bench.options().Selection);
-
-  std::fprintf(stderr, "error: unknown algorithm '%s'\n", Opts.Algo.c_str());
-  Ok = false;
-  return core::DivergeMap();
+  if (!Opts.MapFile.empty() && (Opts.All || Opts.Benchmarks.size() != 1))
+    Flags.usageError("--map requires exactly one named benchmark");
+  if (Opts.MeldReport && Opts.Json)
+    Flags.usageError("--meld-report and --json both claim stdout; pick one");
 }
 
 /// Appends one diagnostics element to the --json snapshot's per-workload
@@ -330,12 +177,15 @@ bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
       return false;
     }
   } else {
-    bool AlgoOk = true;
-    Map = runSelection(Bench, Opts, AlgoOk);
-    if (!AlgoOk) {
+    StatusOr<core::DivergeMap> Selected =
+        harness::selectByAlgo(Bench, Opts.Algo, Opts.ProfileInput);
+    if (!Selected.ok()) {
+      std::fprintf(stderr, "error: unknown algorithm '%s'\n",
+                   Opts.Algo.c_str());
       UsageError = true;
       return false;
     }
+    Map = *std::move(Selected);
   }
 
   if (Opts.MeldReport) {
@@ -379,14 +229,7 @@ bool lintBenchmark(const workloads::BenchmarkSpec &Spec,
 
 int main(int Argc, char **Argv) {
   CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts)) {
-    usage();
-    return exitcode::Usage;
-  }
-  if (Opts.Help) {
-    help();
-    return exitcode::Ok;
-  }
+  parseArgs(Argc, Argv, Opts);
 
   std::vector<const workloads::BenchmarkSpec *> Specs;
   if (Opts.All) {

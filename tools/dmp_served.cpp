@@ -8,28 +8,11 @@
 // architecture" and serve/Protocol.h for the wire format).
 //
 // Usage:
-//   dmp_served --socket=PATH [options]
+//   dmp_served --socket PATH [options]
 //
-// Options:
-//   --socket=PATH        Unix socket to listen on (required)
-//   --workers=N          worker processes (default 2; 0 = in-process)
-//   --cache-dir=DIR      artifact cache shared by all workers (default
-//                        $DMP_CACHE_DIR or .dmp-cache)
-//   --no-cache           run every cell uncached
-//   --max-jobs=N         admission bound on concurrently active jobs
-//                        (default 64); over-limit SUBMITs are rejected
-//                        with ResourceExhausted
-//   --max-cells=N        admission bound on cells per job (default 256)
-//   --cell-attempts=N    dispatch attempts per cell across worker crashes
-//                        (default 3)
-//   --cell-wall-ms=N     hung-worker watchdog: a busy worker silent (no
-//                        CELL_PROGRESS heartbeat) for N ms is SIGKILLed
-//                        and its cell retried (default 0 = off)
-//   --max-conns=N        accept cap; at the limit new connects shed the
-//                        oldest idle connection or are refused (default 64)
-//   --no-durable         do not checkpoint jobs to the cache; a restart
-//                        forgets all in-flight work (pre-recovery behavior)
-//   --quiet              suppress the per-event log lines
+// `dmp_served --help` lists every option (worker count, cache, admission
+// bounds, the hung-worker watchdog, durability).  Value flags take
+// `--flag=V` or `--flag V`; a bad or unknown argument exits 2.
 //
 // Shutdown: SIGINT and SIGTERM both drain gracefully — stop accepting,
 // shed pending cells, let in-flight cells finish, flush replies — and then
@@ -44,11 +27,10 @@
 #include "serve/Server.h"
 #include "serve/WorkerPool.h"
 #include "support/ExitCodes.h"
+#include "support/Flags.h"
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace dmp;
 
@@ -68,97 +50,48 @@ struct DaemonOptions {
   bool Quiet = false;
 };
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: dmp_served --socket=PATH [--workers=N] "
-               "[--cache-dir=DIR] [--no-cache] [--max-jobs=N] "
-               "[--max-cells=N] [--cell-attempts=N] [--cell-wall-ms=N] "
-               "[--max-conns=N] [--no-durable] [--quiet]\n");
-}
-
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
-}
-
-bool parseArgs(int Argc, char **Argv, DaemonOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
-    uint64_t U = 0;
-    if (Arg.rfind("--socket=", 0) == 0) {
-      Opts.Socket = Arg.substr(9);
-    } else if (Arg.rfind("--workers=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 10, U) || U > 64) {
-        std::fprintf(stderr, "error: invalid --workers value '%s'\n",
-                     Arg.c_str() + 10);
-        return false;
-      }
-      Opts.Workers = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--cache-dir=", 0) == 0) {
-      Opts.CacheDir = Arg.substr(12);
-      if (Opts.CacheDir.empty()) {
-        std::fprintf(stderr, "error: empty --cache-dir value\n");
-        return false;
-      }
-    } else if (Arg == "--no-cache") {
-      Opts.UseCache = false;
-    } else if (Arg.rfind("--max-jobs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 11, U) || U == 0 || U > 100'000) {
-        std::fprintf(stderr, "error: invalid --max-jobs value '%s'\n",
-                     Arg.c_str() + 11);
-        return false;
-      }
-      Opts.MaxJobs = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--max-cells=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 ||
-          U > serve::kMaxCellsPerSubmit) {
-        std::fprintf(stderr, "error: invalid --max-cells value '%s'\n",
-                     Arg.c_str() + 12);
-        return false;
-      }
-      Opts.MaxCells = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--cell-attempts=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 16, U) || U == 0 || U > 100) {
-        std::fprintf(stderr, "error: invalid --cell-attempts value '%s'\n",
-                     Arg.c_str() + 16);
-        return false;
-      }
-      Opts.CellAttempts = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--cell-wall-ms=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 15, U) || U > 86'400'000) {
-        std::fprintf(stderr, "error: invalid --cell-wall-ms value '%s'\n",
-                     Arg.c_str() + 15);
-        return false;
-      }
-      Opts.CellWallMs = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--max-conns=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 || U > 100'000) {
-        std::fprintf(stderr, "error: invalid --max-conns value '%s'\n",
-                     Arg.c_str() + 12);
-        return false;
-      }
-      Opts.MaxConns = static_cast<unsigned>(U);
-    } else if (Arg == "--no-durable") {
-      Opts.Durable = false;
-    } else if (Arg == "--quiet") {
-      Opts.Quiet = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option %s\n", Arg.c_str());
-      return false;
-    }
-  }
-  return !Opts.Socket.empty();
+/// Parses argv into \p Opts; exits on --help and usage errors.
+void parseArgs(int Argc, char **Argv, DaemonOptions &Opts) {
+  FlagParser Flags("--socket PATH [options]");
+  Flags
+      .text("--socket", "PATH", Opts.Socket,
+            "Unix socket to listen on (required)")
+      .number("--workers", "N", Opts.Workers, 0, 64,
+              "worker processes (default 2; 0 = in-process)")
+      .text("--cache-dir", "DIR", Opts.CacheDir,
+            "artifact cache shared by all workers (default\n"
+            "$DMP_CACHE_DIR or .dmp-cache)")
+      .set("--no-cache", Opts.UseCache, false, "run every cell uncached")
+      .number("--max-jobs", "N", Opts.MaxJobs, 1, 100'000,
+              "admission bound on concurrently active jobs\n"
+              "(default 64); over-limit SUBMITs are rejected\n"
+              "with ResourceExhausted")
+      .number("--max-cells", "N", Opts.MaxCells, 1, serve::kMaxCellsPerSubmit,
+              "admission bound on cells per job (default 256)")
+      .number("--cell-attempts", "N", Opts.CellAttempts, 1, 100,
+              "dispatch attempts per cell across worker crashes\n"
+              "(default 3)")
+      .number("--cell-wall-ms", "N", Opts.CellWallMs, 0, 86'400'000,
+              "hung-worker watchdog: a busy worker silent (no\n"
+              "CELL_PROGRESS heartbeat) for N ms is SIGKILLed\n"
+              "and its cell retried (default 0 = off)")
+      .number("--max-conns", "N", Opts.MaxConns, 1, 100'000,
+              "accept cap; at the limit new connects shed the\n"
+              "oldest idle connection or are refused (default 64)")
+      .set("--no-durable", Opts.Durable, false,
+           "do not checkpoint jobs to the cache; a restart\n"
+           "forgets all in-flight work")
+      .set("--quiet", Opts.Quiet, true, "suppress the per-event log lines")
+      .parseOrExit(Argc, Argv);
+  if (Opts.Socket.empty())
+    Flags.usageError("--socket PATH is required");
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   DaemonOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts)) {
-    usage();
-    return exitcode::Usage;
-  }
+  parseArgs(Argc, Argv, Opts);
 
   // Fork the workers BEFORE arming signal handlers: a worker must not
   // inherit the supervisor's drain semantics (it ignores SIGINT itself and

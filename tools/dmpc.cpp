@@ -8,54 +8,16 @@
 // binary", and optionally simulate baseline vs DMP.
 //
 // Usage:
-//   dmpc <benchmark> [options]
+//   dmpc [options] <benchmark>
+//   dmpc --list
+//   dmpc --remote SOCKET --ping
 //
-// Options:
-//   --algo=<exact|freq|short|ret|all|cost-long|cost-edge|all-cost|
-//           every-br|random-50|high-bp-5|immediate|if-else>   (default all)
-//   --profile-input=<run|train>   profiling input set (default run)
-//   --max-instr=<n>               MAX_INSTR threshold (default 50)
-//   --min-merge-prob=<p>          MIN_MERGE_PROB (default 0.01)
-//   --2d-filter                   drop always-easy branches (2D profiling)
-//   --dump-dot                    print Graphviz CFGs with the selection
-//   --emit-map                    print the serialized diverge map
-//   --dump-program                print the program listing
-//   --simulate                    run baseline and DMP simulations
-//   --lint                        run the static checker (IR lint +
-//                                 annotation/CFM legality + profile sanity)
-//                                 over the selection and exit; non-zero on
-//                                 any error-severity diagnostic
-//   --no-lint                     skip the implicit lint gate that
-//                                 otherwise runs before --simulate/--verify
-//   --verify                      run the differential oracle (reference
-//                                 emulator vs baseline/DMP-selected/
-//                                 DMP-adversarial simulator legs) and exit
-//                                 non-zero on any retired-state mismatch
-//                                 or invariant violation
-//   --inject-fault=<0|1|2>        with --verify: inject a canary fault into
-//                                 the DMP-selected leg (1 = drop first
-//                                 retired store, 2 = flip a bit of r1);
-//                                 the oracle must then fail
-//   --sim-instrs=<n>              simulation budget (default 1200000)
-//   --jobs=<n>                    worker threads (baseline and DMP
-//                                 simulations overlap under --simulate)
-//   --cache-dir=<dir>             artifact cache location (default
-//                                 $DMP_CACHE_DIR or .dmp-cache)
-//   --no-cache                    recompute; skip the artifact cache
-//   --remote=<socket>             run the cell on a dmp_served daemon
-//                                 instead of in-process (implies
-//                                 --simulate; the printed stats digest is
-//                                 bit-identical to a local run)
-//   --ping                        with --remote: health-probe the daemon
-//                                 and print its epoch, load snapshot
-//                                 (jobs/cells in flight, shed counters)
-//                                 and the round-trip time; no benchmark
-//                                 argument needed
-//   --list                        list available benchmarks and exit
-//
-// Unknown options and malformed numeric values are rejected with usage and
-// a non-zero exit, so scripted sweeps fail loudly instead of silently
-// running the default configuration.
+// `dmpc --help` lists every option with its default and range.  Value flags
+// take either `--flag=V` or `--flag V`, the same syntax as the bench
+// drivers; numbers are plain decimal.  Unknown options, malformed or
+// out-of-range values and stray operands print usage and exit 2, so
+// scripted sweeps fail loudly instead of silently running the default
+// configuration.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,12 +33,12 @@
 #include "profile/TwoDProfile.h"
 #include "serve/Client.h"
 #include "support/ExitCodes.h"
+#include "support/Flags.h"
 #include "support/StringUtils.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace dmp;
@@ -106,129 +68,90 @@ struct CliOptions {
   bool Ping = false;        ///< --remote health probe, no cell shipped
 };
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: dmpc <benchmark> [--algo=...] [--profile-input=...] "
-               "[--max-instr=N] [--min-merge-prob=P] [--2d-filter] "
-               "[--emit-map] [--dump-program] [--simulate] [--lint] "
-               "[--no-lint] [--verify] "
-               "[--inject-fault=0|1|2] [--sim-instrs=N] "
-               "[--jobs=N] [--cache-dir=DIR] [--no-cache] "
-               "[--remote=SOCKET [--ping]] | --list\n");
-}
-
-/// Strict numeric parsing: the whole value must be a number, or we fail
-/// the command line instead of sweeping a silently-mangled threshold.
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
-}
-
-bool parseF64(const char *V, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(V, &End);
-  return End != V && *End == '\0';
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
-    uint64_t U = 0;
-    if (Arg == "--list") {
-      for (const auto &Spec : workloads::specSuite())
-        std::printf("%s\n", Spec.Name);
-      std::exit(0);
-    } else if (Arg.rfind("--algo=", 0) == 0) {
-      Opts.Algo = Arg.substr(7);
-    } else if (Arg.rfind("--profile-input=", 0) == 0) {
-      const std::string V = Arg.substr(16);
-      if (V == "train")
-        Opts.ProfileInput = workloads::InputSetKind::Train;
-      else if (V != "run") {
-        std::fprintf(stderr, "error: invalid --profile-input '%s'\n",
-                     V.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--max-instr=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 12, U) || U == 0 || U > 1'000'000) {
-        std::fprintf(stderr, "error: invalid --max-instr value '%s'\n",
-                     Arg.c_str() + 12);
-        return false;
-      }
-      Opts.MaxInstr = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--min-merge-prob=", 0) == 0) {
-      double P = 0.0;
-      if (!parseF64(Arg.c_str() + 17, P) || P < 0.0 || P > 1.0) {
-        std::fprintf(stderr, "error: invalid --min-merge-prob value '%s'\n",
-                     Arg.c_str() + 17);
-        return false;
-      }
-      Opts.MinMergeProb = P;
-    } else if (Arg.rfind("--sim-instrs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 13, U) || U == 0) {
-        std::fprintf(stderr, "error: invalid --sim-instrs value '%s'\n",
-                     Arg.c_str() + 13);
-        return false;
-      }
-      Opts.SimInstrs = U;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 7, U) || U == 0 || U > 1024) {
-        std::fprintf(stderr, "error: invalid --jobs value '%s'\n",
-                     Arg.c_str() + 7);
-        return false;
-      }
-      Opts.Jobs = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--cache-dir=", 0) == 0) {
-      Opts.CacheDir = Arg.substr(12);
-      if (Opts.CacheDir.empty()) {
-        std::fprintf(stderr, "error: empty --cache-dir value\n");
-        return false;
-      }
-    } else if (Arg == "--no-cache") {
-      Opts.UseCache = false;
-    } else if (Arg.rfind("--remote=", 0) == 0) {
-      Opts.RemoteSocket = Arg.substr(9);
-      if (Opts.RemoteSocket.empty()) {
-        std::fprintf(stderr, "error: empty --remote value\n");
-        return false;
-      }
-    } else if (Arg == "--ping") {
-      Opts.Ping = true;
-    } else if (Arg == "--2d-filter") {
-      Opts.TwoDFilter = true;
-    } else if (Arg == "--emit-map") {
-      Opts.EmitMap = true;
-    } else if (Arg == "--dump-program") {
-      Opts.DumpProgram = true;
-    } else if (Arg == "--dump-dot") {
-      Opts.DumpDot = true;
-    } else if (Arg == "--simulate") {
-      Opts.Simulate = true;
-    } else if (Arg == "--lint") {
-      Opts.LintOnly = true;
-    } else if (Arg == "--no-lint") {
-      Opts.LintGate = false;
-    } else if (Arg == "--verify") {
-      Opts.Verify = true;
-    } else if (Arg.rfind("--inject-fault=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 15, U) || U > 2) {
-        std::fprintf(stderr, "error: invalid --inject-fault value '%s'\n",
-                     Arg.c_str() + 15);
-        return false;
-      }
-      Opts.InjectFault = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown option %s\n", Arg.c_str());
-      return false;
-    } else if (Opts.Benchmark.empty()) {
-      Opts.Benchmark = Arg;
-    } else {
-      return false;
-    }
+/// Parses argv into \p Opts; exits on --help, --list and usage errors.
+void parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  bool List = false;
+  std::vector<std::string> Operands;
+  FlagParser Flags("[options] <benchmark> | --list | --remote SOCKET --ping");
+  Flags
+      .text("--algo", "NAME", Opts.Algo,
+            "selection algorithm: exact, freq, short, ret, all,\n"
+            "cost-long, cost-edge, all-cost, every-br,\n"
+            "random-50, high-bp-5, immediate, if-else\n"
+            "(default all)")
+      .choice("--profile-input", Opts.ProfileInput,
+              {{"run", workloads::InputSetKind::Run},
+               {"train", workloads::InputSetKind::Train}},
+              "profiling input set (default run)")
+      .number("--max-instr", "N", Opts.MaxInstr, 1, 1'000'000,
+              "MAX_INSTR threshold (default 50)")
+      .real("--min-merge-prob", "P", Opts.MinMergeProb, 0.0, 1.0,
+            "MIN_MERGE_PROB threshold (default 0.01)")
+      .set("--2d-filter", Opts.TwoDFilter, true,
+           "drop always-easy branches (2D profiling)")
+      .set("--dump-dot", Opts.DumpDot, true,
+           "print Graphviz CFGs with the selection")
+      .set("--emit-map", Opts.EmitMap, true, "print the serialized diverge map")
+      .set("--dump-program", Opts.DumpProgram, true,
+           "print the program listing")
+      .set("--simulate", Opts.Simulate, true,
+           "run baseline and DMP simulations")
+      .set("--lint", Opts.LintOnly, true,
+           "run the static checker (IR lint, annotation/CFM\n"
+           "legality, profile sanity) over the selection and\n"
+           "exit; non-zero on any error-severity diagnostic")
+      .set("--no-lint", Opts.LintGate, false,
+           "skip the implicit lint gate that otherwise runs\n"
+           "before --simulate/--verify")
+      .set("--verify", Opts.Verify, true,
+           "run the differential oracle (reference emulator\n"
+           "vs baseline/DMP-selected/DMP-adversarial legs);\n"
+           "non-zero on any retired-state mismatch or\n"
+           "invariant violation")
+      .number("--inject-fault", "0|1|2", Opts.InjectFault, 0, 2,
+              "with --verify: canary fault in the DMP-selected\n"
+              "leg (1 = drop first retired store, 2 = flip a bit\n"
+              "of r1); the oracle must then fail")
+      .number("--sim-instrs", "N", Opts.SimInstrs, 1,
+              std::numeric_limits<uint64_t>::max(),
+              "simulation budget (default 1200000)")
+      .number("--jobs", "N", Opts.Jobs, 1, 1024,
+              "worker threads (baseline and DMP simulations\n"
+              "overlap under --simulate)")
+      .text("--cache-dir", "DIR", Opts.CacheDir,
+            "artifact cache location (default $DMP_CACHE_DIR\n"
+            "or .dmp-cache)")
+      .set("--no-cache", Opts.UseCache, false,
+           "recompute; skip the artifact cache")
+      .text("--remote", "SOCKET", Opts.RemoteSocket,
+            "run the cell on a dmp_served daemon (implies\n"
+            "--simulate; the printed stats digest is\n"
+            "bit-identical to a local run)")
+      .set("--ping", Opts.Ping, true,
+           "with --remote: health-probe the daemon and print\n"
+           "its epoch, load snapshot and round-trip time")
+      .set("--list", List, true, "list available benchmarks and exit")
+      .operands("benchmark", Operands, 1)
+      .parseOrExit(Argc, Argv);
+  if (List) {
+    for (const auto &Spec : workloads::specSuite())
+      std::printf("%s\n", Spec.Name);
+    std::exit(exitcode::Ok);
   }
   // --ping is a daemon probe, not a cell run: no benchmark needed.
-  return !Opts.Benchmark.empty() || Opts.Ping;
+  if (Opts.Ping && Opts.RemoteSocket.empty())
+    Flags.usageError("--ping requires --remote SOCKET");
+  if (Operands.empty() && !Opts.Ping)
+    Flags.usageError("missing <benchmark> (try --list)");
+  if (!Operands.empty())
+    Opts.Benchmark = Operands[0];
+  // Remote mode runs exactly one profile->select->simulate cell on the
+  // daemon; the local-only analysis/report modes don't ship.
+  if (!Opts.RemoteSocket.empty() &&
+      (Opts.TwoDFilter || Opts.EmitMap || Opts.DumpProgram || Opts.DumpDot ||
+       Opts.LintOnly || Opts.Verify))
+    Flags.usageError("--remote supports only the simulate pipeline "
+                     "(no --2d-filter/--emit-map/--dump-*/--lint/--verify)");
 }
 
 /// Runs the requested selection algorithm via the shared per-cell entry
@@ -357,18 +280,9 @@ int runRemote(const CliOptions &Opts) {
 int main(int Argc, char **Argv) {
   guard::installSignalHandlers();
   CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts)) {
-    usage();
-    return exitcode::Usage;
-  }
-
-  if (Opts.Ping) {
-    if (Opts.RemoteSocket.empty()) {
-      std::fprintf(stderr, "error: --ping requires --remote=SOCKET\n");
-      return exitcode::Usage;
-    }
+  parseArgs(Argc, Argv, Opts);
+  if (Opts.Ping)
     return runPing(Opts);
-  }
 
   const workloads::BenchmarkSpec *Spec = nullptr;
   for (const auto &S : workloads::specSuite())
@@ -380,18 +294,8 @@ int main(int Argc, char **Argv) {
     return exitcode::Usage;
   }
 
-  if (!Opts.RemoteSocket.empty()) {
-    // Remote mode runs exactly one profile->select->simulate cell on the
-    // daemon; the local-only analysis/report modes don't ship.
-    if (Opts.TwoDFilter || Opts.EmitMap || Opts.DumpProgram || Opts.DumpDot ||
-        Opts.LintOnly || Opts.Verify) {
-      std::fprintf(stderr,
-                   "error: --remote supports only the simulate pipeline "
-                   "(no --2d-filter/--emit-map/--dump-*/--lint/--verify)\n");
-      return exitcode::Usage;
-    }
+  if (!Opts.RemoteSocket.empty())
     return runRemote(Opts);
-  }
 
   harness::ExperimentOptions Options;
   Options.Selection =

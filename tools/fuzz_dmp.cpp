@@ -12,35 +12,11 @@
 // Usage:
 //   fuzz_dmp [options]
 //
-// Options:
-//   --seeds=N            number of seeds to run (default 200)
-//   --start-seed=N       first seed (default 0)
-//   --jobs=N             worker threads (default: hardware)
-//   --max-instrs=N       per-run dynamic instruction budget (default 300000)
-//   --fault=<0|1|2>      inject a canary fault into the dmp-selected leg's
-//                        extracted state (1 = drop first retired store,
-//                        2 = flip a bit of r1); the oracle must then flag
-//                        every seed
-//   --expect-divergence  invert the exit status: succeed only when every
-//                        seed fails (canary / known-bug mode)
-//   --keep-going         collect every divergence instead of reporting only
-//                        the first: prints a per-seed failure table and a
-//                        failure digest that is independent of --jobs (the
-//                        batch always runs every seed; this only changes
-//                        reporting)
-//   --reduce             on failure, greedily minimize the first failing
-//                        seed and print the repro snippet + DOT CFG
-//   --dump-dir=DIR       write repro_seed<N>.h/.dot for the reduced case
-//   --digest             print the SHA-256 digest of all results; the
-//                        digest is independent of --jobs
-//   --selfcheck-determinism
-//                        run the batch twice (1 thread vs all threads) and
-//                        fail unless the result digests match
-//   --time-budget=SEC    stop *launching* new seeds once SEC wall-clock
-//                        seconds have elapsed; in-flight seeds finish and
-//                        the digest covers completed seeds only, with the
-//                        covered seed count reported (never a silent
-//                        truncation)
+// `fuzz_dmp --help` lists every option: the seed range, the canary fault
+// modes, failure reduction, the jobs-independent result digest and the
+// wall-clock --time-budget (which stops launching seeds, reports the covered
+// seed range, and never truncates silently).  Value flags take `--flag=V`
+// or `--flag V`.
 //
 // Exit status (support/ExitCodes.h): 0 when every completed seed passed
 // (or, under --expect-divergence, when every completed seed failed);
@@ -59,10 +35,9 @@
 #include "serialize/Hash.h"
 #include "serialize/ProfileIO.h"
 #include "support/ExitCodes.h"
+#include "support/Flags.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,68 +61,49 @@ struct CliOptions {
   double TimeBudgetSeconds = 0; ///< 0 = unbounded.
 };
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: fuzz_dmp [--seeds=N] [--start-seed=N] [--jobs=N] "
-               "[--max-instrs=N] [--fault=0|1|2] [--expect-divergence] "
-               "[--keep-going] [--reduce] [--dump-dir=DIR] [--digest] "
-               "[--selfcheck-determinism] [--time-budget=SEC]\n");
-}
-
-bool parseU64(const char *V, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(V, &End, 10);
-  return End != V && *End == '\0';
-}
-
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  for (int I = 1; I < Argc; ++I) {
-    const std::string Arg = Argv[I];
-    uint64_t U = 0;
-    if (Arg.rfind("--seeds=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 8, U) || U == 0)
-        return false;
-      Opts.Seeds = U;
-    } else if (Arg.rfind("--start-seed=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 13, U))
-        return false;
-      Opts.StartSeed = U;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 7, U) || U == 0 || U > 1024)
-        return false;
-      Opts.Jobs = static_cast<unsigned>(U);
-    } else if (Arg.rfind("--max-instrs=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 13, U) || U == 0)
-        return false;
-      Opts.MaxInstrs = U;
-    } else if (Arg.rfind("--fault=", 0) == 0) {
-      if (!parseU64(Arg.c_str() + 8, U) || U > 2)
-        return false;
-      Opts.Fault = static_cast<unsigned>(U);
-    } else if (Arg == "--expect-divergence") {
-      Opts.ExpectDivergence = true;
-    } else if (Arg == "--keep-going") {
-      Opts.KeepGoing = true;
-    } else if (Arg == "--reduce") {
-      Opts.Reduce = true;
-    } else if (Arg.rfind("--dump-dir=", 0) == 0) {
-      Opts.DumpDir = Arg.substr(11);
-    } else if (Arg == "--digest") {
-      Opts.PrintDigest = true;
-    } else if (Arg == "--selfcheck-determinism") {
-      Opts.SelfcheckDeterminism = true;
-    } else if (Arg.rfind("--time-budget=", 0) == 0) {
-      char *End = nullptr;
-      const double Sec = std::strtod(Arg.c_str() + 14, &End);
-      if (End == Arg.c_str() + 14 || *End != '\0' || Sec <= 0)
-        return false;
-      Opts.TimeBudgetSeconds = Sec;
-    } else {
-      std::fprintf(stderr, "fuzz_dmp: unknown option '%s'\n", Arg.c_str());
-      return false;
-    }
-  }
-  return true;
+/// Parses argv into \p Opts; exits on --help and usage errors.
+void parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+  FlagParser()
+      .number("--seeds", "N", Opts.Seeds, 1, 1'000'000,
+              "number of seeds to run (default 200)")
+      .number("--start-seed", "N", Opts.StartSeed, 0,
+              std::numeric_limits<uint64_t>::max(), "first seed (default 0)")
+      .number("--jobs", "N", Opts.Jobs, 1, 1024,
+              "worker threads (default: hardware)")
+      .number("--max-instrs", "N", Opts.MaxInstrs, 1,
+              std::numeric_limits<uint64_t>::max(),
+              "per-run dynamic instruction budget (default\n"
+              "300000)")
+      .number("--fault", "0|1|2", Opts.Fault, 0, 2,
+              "inject a canary fault into the dmp-selected leg's\n"
+              "extracted state (1 = drop first retired store,\n"
+              "2 = flip a bit of r1); the oracle must then flag\n"
+              "every seed")
+      .set("--expect-divergence", Opts.ExpectDivergence, true,
+           "invert the exit status: succeed only when every\n"
+           "seed fails (canary / known-bug mode)")
+      .set("--keep-going", Opts.KeepGoing, true,
+           "report every divergence, not only the first: a\n"
+           "per-seed failure table and a failure digest\n"
+           "independent of --jobs")
+      .set("--reduce", Opts.Reduce, true,
+           "on failure, greedily minimize the first failing\n"
+           "seed and print the repro snippet + DOT CFG")
+      .text("--dump-dir", "DIR", Opts.DumpDir,
+            "write repro_seed<N>.h/.dot for the reduced case")
+      .set("--digest", Opts.PrintDigest, true,
+           "print the SHA-256 digest of all results; the\n"
+           "digest is independent of --jobs")
+      .set("--selfcheck-determinism", Opts.SelfcheckDeterminism, true,
+           "run the batch twice (1 thread vs all threads) and\n"
+           "fail unless the result digests match")
+      .real("--time-budget", "SEC", Opts.TimeBudgetSeconds,
+            std::numeric_limits<double>::denorm_min(), 1e9,
+            "stop launching new seeds after SEC wall-clock\n"
+            "seconds; in-flight seeds finish and the digest\n"
+            "covers completed seeds only, with the covered\n"
+            "seed count reported")
+      .parseOrExit(Argc, Argv);
 }
 
 /// One seed's outcome — everything needed for reporting and for the
@@ -319,10 +275,7 @@ void reduceAndReport(uint64_t Seed, const CliOptions &Opts) {
 int main(int Argc, char **Argv) {
   guard::installSignalHandlers();
   CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts)) {
-    usage();
-    return exitcode::Usage;
-  }
+  parseArgs(Argc, Argv, Opts);
 
   // The time budget spans the whole invocation (both selfcheck batches
   // included): once it expires, no batch launches further seeds.
